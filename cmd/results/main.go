@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -29,31 +30,32 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "results:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes one subcommand, writing its report to stdout.
+func run(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("usage: results <stat|export|import|query> [flags]")
 	}
 	switch args[0] {
 	case "stat":
-		return runStat(args[1:])
+		return runStat(args[1:], stdout)
 	case "export":
-		return runExport(args[1:])
+		return runExport(args[1:], stdout)
 	case "import":
 		return runImport(args[1:])
 	case "query":
-		return runQuery(args[1:])
+		return runQuery(args[1:], stdout)
 	default:
 		return fmt.Errorf("unknown subcommand %q (have stat, export, import, query)", args[0])
 	}
 }
 
-func runStat(args []string) error {
+func runStat(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("results stat", flag.ContinueOnError)
 	dir := fs.String("store", "", "store directory")
 	if err := fs.Parse(args); err != nil {
@@ -66,25 +68,25 @@ func runStat(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("store:    %s\n", st.Dir())
-	fmt.Printf("segments: %d\n", st.Segments())
-	fmt.Printf("rows:     %d\n", st.Rows())
+	fmt.Fprintf(stdout, "store:    %s\n", st.Dir())
+	fmt.Fprintf(stdout, "segments: %d\n", st.Segments())
+	fmt.Fprintf(stdout, "rows:     %d\n", st.Rows())
 	if sch := st.Schema(); sch != nil {
 		parts := make([]string, len(sch))
 		for i, c := range sch {
 			parts[i] = fmt.Sprintf("%s:%s", c.Name, c.Kind)
 		}
-		fmt.Printf("schema:   %s\n", strings.Join(parts, " "))
+		fmt.Fprintf(stdout, "schema:   %s\n", strings.Join(parts, " "))
 	}
 	if st.Segments() > 0 {
 		for k, v := range st.SegmentMeta(0) {
-			fmt.Printf("meta:     %s=%s\n", k, v)
+			fmt.Fprintf(stdout, "meta:     %s=%s\n", k, v)
 		}
 	}
 	return nil
 }
 
-func runExport(args []string) error {
+func runExport(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("results export", flag.ContinueOnError)
 	dir := fs.String("store", "", "store directory")
 	out := fs.String("o", "", "output CSV path (default stdout)")
@@ -99,7 +101,7 @@ func runExport(args []string) error {
 		return err
 	}
 	if *out == "" {
-		_, err = os.Stdout.Write(csv)
+		_, err = stdout.Write(csv)
 		return err
 	}
 	return checkpoint.WriteFileAtomic(*out, csv, 0o644)
@@ -140,7 +142,7 @@ func runImport(args []string) error {
 	return nil
 }
 
-func runQuery(args []string) error {
+func runQuery(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("results query", flag.ContinueOnError)
 	dir := fs.String("store", "", "store directory")
 	groupBy := fs.String("group-by", "", "comma-separated group-by columns")
@@ -196,9 +198,9 @@ func runQuery(args []string) error {
 		t.AddRow(cells...)
 	}
 	if *asCSV {
-		fmt.Print(t.CSV())
+		fmt.Fprint(stdout, t.CSV())
 	} else {
-		fmt.Print(t.Render())
+		fmt.Fprint(stdout, t.Render())
 	}
 	return nil
 }

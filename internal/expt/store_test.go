@@ -59,15 +59,16 @@ func TestStoreExportByteIdenticalAcrossWorkersShards(t *testing.T) {
 }
 
 // TestCommittedGoldenCSVsRoundTripThroughStore drives the converter
-// path over every committed full-suite golden: import must infer a
-// schema whose export reproduces the file byte for byte.
+// path over every committed full-suite golden in testdata/golden (E1-E18
+// outputs of the full suite): import must infer a schema whose export
+// reproduces the file byte for byte.
 func TestCommittedGoldenCSVsRoundTripThroughStore(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "results", "e*.csv"))
+	paths, err := filepath.Glob(filepath.Join("testdata", "golden", "e*.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) == 0 {
-		t.Skip("no committed golden CSVs found")
+		t.Fatal("no committed golden CSVs found in testdata/golden")
 	}
 	for _, p := range paths {
 		p := p

@@ -127,6 +127,11 @@ func TestHTTPRejectsMalformedSubmissions(t *testing.T) {
 			t.Errorf("case %d: status %d, want %d", i, resp.StatusCode, c.want)
 		}
 	}
+	for _, body := range trailingBodies {
+		if resp, _ := postJob(t, ts, "", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %s: status %d, want %d", body, resp.StatusCode, http.StatusBadRequest)
+		}
+	}
 }
 
 func TestHTTPOverloadGets429WithRetryAfter(t *testing.T) {

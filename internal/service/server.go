@@ -82,9 +82,9 @@ type canceledRecord struct {
 // Config configures a Server. The zero value is usable: every knob has
 // a production-shaped default.
 type Config struct {
-	// DataDir roots all durable state (jobs/<id>/ and cache/). Empty
-	// disables durability and the result cache survives only in memory —
-	// tests use that; potsimd always sets it.
+	// DataDir roots all durable state (jobs/<id>/ only). Empty disables
+	// durability: results live only in memory — tests use that;
+	// potsimd always sets it.
 	DataDir string
 
 	// QueueDepth bounds jobs admitted but not yet running; a full queue
@@ -160,17 +160,14 @@ type Stats struct {
 	QueueDepth int  `json:"queueDepth"`
 	JobWorkers int  `json:"jobWorkers"`
 
-	Submitted int `json:"submitted"`
-	Deduped   int `json:"deduped"`
-	CacheHits int `json:"cacheHits"`
-	// CacheIndexHits counts cache hits answered via the segment-backed
-	// fingerprint index (DataDir mode) rather than a blind disk probe.
-	CacheIndexHits int `json:"cacheIndexHits"`
-	Completed      int `json:"completed"`
-	Failed         int `json:"failed"`
-	Canceled       int `json:"canceled"`
-	Interrupted    int `json:"interrupted"`
-	Recovered      int `json:"recovered"`
+	Submitted   int `json:"submitted"`
+	Deduped     int `json:"deduped"`
+	CacheHits   int `json:"cacheHits"`
+	Completed   int `json:"completed"`
+	Failed      int `json:"failed"`
+	Canceled    int `json:"canceled"`
+	Interrupted int `json:"interrupted"`
+	Recovered   int `json:"recovered"`
 
 	RejectedQueueFull int `json:"rejectedQueueFull"`
 	RejectedTenant    int `json:"rejectedTenant"`
@@ -197,9 +194,10 @@ type Server struct {
 	running  int
 	draining bool
 	stats    Stats
-
-	memCache map[string][]byte // fingerprint -> result doc, DataDir == "" only
-	idx      *cacheIndex       // segment-backed cache index, DataDir != "" only
+	// results maps fingerprint -> result doc of every job that finished
+	// done. In DataDir mode recovery rebuilds it from jobs/<id>/result.json,
+	// the only durable copy.
+	results map[string][]byte
 
 	queue     chan *Job
 	drainCh   chan struct{}
@@ -210,7 +208,8 @@ type Server struct {
 // New builds a server, recovers every unfinished job found in
 // cfg.DataDir (stale temp files are swept, finished jobs come back as
 // cache entries, unfinished ones are re-enqueued in admission order),
-// and starts the worker pool.
+// and starts the worker pool. Nothing under cfg.DataDir but jobs/ is
+// read.
 func New(cfg Config) (*Server, error) {
 	cfg.setDefaults()
 	s := &Server{
@@ -218,28 +217,17 @@ func New(cfg Config) (*Server, error) {
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
 		tenants:  make(map[string]int),
+		results:  make(map[string][]byte),
 		drainCh:  make(chan struct{}),
 	}
 	if cfg.DataDir != "" {
-		for _, sub := range []string{s.jobsDir(), s.cacheDir()} {
-			if err := os.MkdirAll(sub, 0o755); err != nil {
-				return nil, fmt.Errorf("service: creating data dir: %w", err)
-			}
+		if err := os.MkdirAll(s.jobsDir(), 0o755); err != nil {
+			return nil, fmt.Errorf("service: creating data dir: %w", err)
 		}
-		idx, err := openCacheIndex(s.indexDir(), s.logf)
-		if err != nil {
-			return nil, fmt.Errorf("service: opening cache index: %w", err)
-		}
-		s.idx = idx
 	}
 	recovered, err := s.recoverJobs()
 	if err != nil {
 		return nil, err
-	}
-	if s.idx != nil {
-		// After recovery: repairCache may just have re-created cache
-		// entries the index never saw (crash between the two writes).
-		s.idx.reconcile(s.cacheDir())
 	}
 	// The channel is sized so that sends under the admission invariant
 	// (queued < QueueDepth, plus the recovered backlog) never block.
@@ -255,9 +243,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-func (s *Server) jobsDir() string  { return filepath.Join(s.cfg.DataDir, "jobs") }
-func (s *Server) cacheDir() string { return filepath.Join(s.cfg.DataDir, "cache") }
-func (s *Server) indexDir() string { return filepath.Join(s.cfg.DataDir, "cache-index") }
+func (s *Server) jobsDir() string { return filepath.Join(s.cfg.DataDir, "jobs") }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
@@ -266,10 +252,10 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // recoverJobs scans the jobs directory and rebuilds in-memory state:
-// finished jobs are reloaded (and their cache entries repaired if the
-// crash hit between the result and cache writes), canceled/failed jobs
-// keep their terminal state, and everything else — killed at whatever
-// point — is re-enqueued to resume from its journal and snapshots.
+// finished jobs are reloaded and their results re-enter the cache,
+// canceled/failed jobs keep their terminal state, and everything else —
+// killed at whatever point — is re-enqueued to resume from its journal
+// and snapshots.
 func (s *Server) recoverJobs() ([]*Job, error) {
 	if s.cfg.DataDir == "" {
 		return nil, nil
@@ -328,7 +314,7 @@ func (s *Server) recoverJobs() ([]*Job, error) {
 			}
 			job.settle(StateDone, blob, "")
 			s.stats.GuardViolations += doc.GuardViolations
-			s.repairCache(job.Fingerprint, &doc)
+			s.results[job.Fingerprint] = blob
 			s.adopt(job)
 			continue
 		case !os.IsNotExist(rerr):
@@ -377,32 +363,6 @@ func (s *Server) seqOf(id string) int {
 	return n
 }
 
-// repairCache makes sure a finished job's result is present in the
-// content-addressed cache (the crash may have hit between the two
-// writes; the per-job result is authoritative).
-func (s *Server) repairCache(fp string, doc *ResultDoc) {
-	path := s.cachePath(fp)
-	if path == "" {
-		return
-	}
-	var have ResultDoc
-	if err := checkpoint.Load(path, resultKind, resultVersion, &have); err == nil {
-		return
-	}
-	if err := checkpoint.Save(path, resultKind, resultVersion, doc); err != nil {
-		s.logf("cache repair for %s: %v", fp, err)
-	} else if s.idx != nil {
-		s.idx.add(fp, "", doc.Kind, doc.Experiment)
-	}
-}
-
-func (s *Server) cachePath(fp string) string {
-	if s.cfg.DataDir == "" {
-		return ""
-	}
-	return filepath.Join(s.cacheDir(), fp+".json")
-}
-
 // SubmitOutcome reports how a submission was satisfied.
 type SubmitOutcome struct {
 	Job *Job
@@ -442,12 +402,9 @@ func (s *Server) Submit(spec JobSpec, tenant string) (SubmitOutcome, error) {
 		s.mu.Unlock()
 		return SubmitOutcome{Job: j, Deduped: true}, nil
 	}
-	if doc, ok := s.loadCacheLocked(fp); ok {
+	if doc, ok := s.results[fp]; ok {
 		job := s.newCachedJobLocked(spec, tenant, fp, doc)
 		s.stats.CacheHits++
-		if s.idx != nil && s.idx.has(fp) {
-			s.stats.CacheIndexHits++
-		}
 		s.mu.Unlock()
 		return SubmitOutcome{Job: job, CacheHit: true}, nil
 	}
@@ -532,32 +489,6 @@ func (s *Server) newCachedJobLocked(spec JobSpec, tenant, fp string, doc []byte)
 	job.settle(StateDone, doc, "")
 	s.adopt(job)
 	return job
-}
-
-// loadCacheLocked reads the content-addressed cache. In-memory dedup of
-// finished jobs is subsumed: completed jobs always write the cache file
-// first (or, with no DataDir, an in-memory entry via memCache).
-func (s *Server) loadCacheLocked(fp string) ([]byte, bool) {
-	if s.cfg.DataDir == "" {
-		doc, ok := s.memCache[fp]
-		return doc, ok
-	}
-	// The segment index answers negative lookups from memory: every
-	// cache write this server makes is indexed (and startup reconciles
-	// the directory), so an unindexed fingerprint cannot have an entry
-	// and the disk probe below is skipped.
-	if s.idx != nil && !s.idx.has(fp) {
-		return nil, false
-	}
-	var doc ResultDoc
-	if err := checkpoint.Load(s.cachePath(fp), resultKind, resultVersion, &doc); err != nil {
-		return nil, false
-	}
-	blob, err := json.Marshal(&doc)
-	if err != nil {
-		return nil, false
-	}
-	return blob, true
 }
 
 // Job looks a job up by ID.
@@ -743,7 +674,7 @@ func (s *Server) runJob(job *Job) {
 			s.settleJob(job, StateFailed, nil, merr)
 			return
 		}
-		s.persistResult(job, &doc)
+		s.persistResult(job, &doc, blob)
 		job.settle(StateDone, blob, "")
 		s.countSettled(StateDone, &doc)
 		s.release(job)
@@ -790,32 +721,18 @@ func (s *Server) writeCanceled(job *Job) {
 	}
 }
 
-// persistResult writes the per-job result first (authoritative), then
-// the cache entry; recovery repairs the cache from the result if a
-// crash lands between the two.
-func (s *Server) persistResult(job *Job, doc *ResultDoc) {
+// persistResult writes the job's durable result, then enters blob in
+// the cache. The caller releases the job only afterwards, so an
+// identical submission always either dedups against it or hits.
+func (s *Server) persistResult(job *Job, doc *ResultDoc, blob []byte) {
 	if job.dir != "" {
 		if err := checkpoint.Save(filepath.Join(job.dir, "result.json"), resultKind, resultVersion, doc); err != nil {
 			s.logf("persisting result of %s: %v", job.ID, err)
 		}
 	}
-	if path := s.cachePath(job.Fingerprint); path != "" {
-		if err := checkpoint.Save(path, resultKind, resultVersion, doc); err != nil {
-			s.logf("caching result of %s: %v", job.ID, err)
-		} else if s.idx != nil {
-			s.idx.add(job.Fingerprint, job.ID, doc.Kind, doc.Experiment)
-		}
-	} else {
-		blob, err := json.Marshal(doc)
-		if err == nil {
-			s.mu.Lock()
-			if s.memCache == nil {
-				s.memCache = make(map[string][]byte)
-			}
-			s.memCache[job.Fingerprint] = blob
-			s.mu.Unlock()
-		}
-	}
+	s.mu.Lock()
+	s.results[job.Fingerprint] = blob
+	s.mu.Unlock()
 }
 
 func (s *Server) countSettled(state State, doc *ResultDoc) {

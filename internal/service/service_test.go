@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"potsim/internal/checkpoint"
 	"potsim/internal/sim"
 )
 
@@ -124,58 +125,151 @@ func TestSubmitRunResult(t *testing.T) {
 	}
 }
 
+// TestCacheHitSameServerAndAcrossRestart checks that a finished job's
+// result serves identical submissions byte for byte, in the same
+// process and after a restart, and that jobs/ is the only durable
+// state. The legacy input pre-seeds the data dir with the cache/ and
+// cache-index/ directories earlier versions wrote: the server must
+// start, never read them (cache/ holds a well-formed but wrong entry
+// under the job's own fingerprint) and leave them untouched.
 func TestCacheHitSameServerAndAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
 	spec := simSpec(20*sim.Millisecond, 11)
+	fp, err := spec.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := &ResultDoc{Kind: KindSim, Fingerprint: fp, Text: "stale"}
+	for _, tc := range []struct {
+		name   string
+		legacy bool
+	}{{"fresh", false}, {"legacy-layout", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			legacy := map[string][]byte{}
+			if tc.legacy {
+				for _, name := range []string{"cache/junk.json", "cache-index/000001-cache-index.seg"} {
+					path := filepath.Join(dir, filepath.FromSlash(name))
+					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := checkpoint.Save(filepath.Join(dir, "cache", fp+".json"), resultKind, resultVersion, stale); err != nil {
+					t.Fatal(err)
+				}
+				legacy = snapshotTree(t, dir)
+			}
+			// checkLayout asserts the data dir holds jobs/ plus, untouched,
+			// whatever legacy state it started with.
+			checkLayout := func() {
+				t.Helper()
+				entries, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var names []string
+				for _, e := range entries {
+					names = append(names, e.Name())
+				}
+				want := []string{"jobs"}
+				if tc.legacy {
+					want = []string{"cache", "cache-index", "jobs"}
+				}
+				if fmt.Sprint(names) != fmt.Sprint(want) {
+					t.Fatalf("data dir holds %v, want %v", names, want)
+				}
+				got := snapshotTree(t, dir)
+				for path, blob := range legacy {
+					if !bytes.Equal(got[path], blob) {
+						t.Fatalf("legacy file %s was modified", path)
+					}
+				}
+			}
 
-	s1, err := New(Config{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := s1.Submit(spec, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, first.Job, StateDone)
-	golden, _ := first.Job.Result()
+			s1, err := New(Config{DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := s1.Submit(spec, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.CacheHit || first.Deduped {
+				t.Fatalf("first submission: cacheHit=%v deduped=%v", first.CacheHit, first.Deduped)
+			}
+			waitState(t, first.Job, StateDone)
+			golden, _ := first.Job.Result()
 
-	again, err := s1.Submit(spec, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.CacheHit {
-		t.Fatal("second identical submission missed the cache")
-	}
-	if again.Job.ID == first.Job.ID {
-		t.Fatal("cache hit reused the original job ID")
-	}
-	waitState(t, again.Job, StateDone)
-	got, _ := again.Job.Result()
-	if !bytes.Equal(golden, got) {
-		t.Fatal("cached result differs from the computed one")
-	}
-	if st := s1.Stats(); st.CacheHits != 1 || st.Completed != 1 {
-		t.Fatalf("stats: %+v", st)
-	}
-	drain(t, s1)
+			again, err := s1.Submit(spec, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !again.CacheHit {
+				t.Fatal("second identical submission missed the cache")
+			}
+			if again.Job.ID == first.Job.ID {
+				t.Fatal("cache hit reused the original job ID")
+			}
+			waitState(t, again.Job, StateDone)
+			got, _ := again.Job.Result()
+			if !bytes.Equal(golden, got) {
+				t.Fatal("cached result differs from the computed one")
+			}
+			if st := s1.Stats(); st.CacheHits != 1 || st.Completed != 1 {
+				t.Fatalf("stats: %+v", st)
+			}
+			drain(t, s1)
+			checkLayout()
 
-	// A fresh process on the same data dir serves from the durable cache.
-	s2, err := New(Config{DataDir: dir})
+			// A fresh process on the same data dir serves the hit from the
+			// recovered result.json.
+			s2, err := New(Config{DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			third, err := s2.Submit(spec, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !third.CacheHit {
+				t.Fatal("restarted server missed the durable result")
+			}
+			got2, _ := third.Job.Result()
+			if !bytes.Equal(golden, got2) {
+				t.Fatal("recovered cached result differs from the computed one")
+			}
+			if st := s2.Stats(); st.CacheHits != 1 || st.Completed != 0 {
+				t.Fatalf("restarted stats: %+v", st)
+			}
+			drain(t, s2)
+			checkLayout()
+		})
+	}
+}
+
+// snapshotTree maps every regular file under root (slash-separated,
+// relative) to its contents.
+func snapshotTree(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		out[filepath.ToSlash(rel)] = blob
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer drain(t, s2)
-	third, err := s2.Submit(spec, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !third.CacheHit {
-		t.Fatal("restarted server missed the durable cache")
-	}
-	got2, _ := third.Job.Result()
-	if !bytes.Equal(golden, got2) {
-		t.Fatal("durable cached result differs from the computed one")
-	}
+	return out
 }
 
 func TestSingleFlightDedup(t *testing.T) {
@@ -506,6 +600,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: KindSim, Config: json.RawMessage(`{"Bogus": 1}`)},           // unknown config key
 		{Kind: KindSim, Config: json.RawMessage(`{"Width": -4}`)},          // invalid config
 		{Kind: KindSuite, Experiment: "E1", Config: json.RawMessage(`{}`)}, // config on a suite
+		{Kind: KindSim, Config: json.RawMessage(`{"Seed": 1}{"Seed": 2}`)}, // trailing config content
 	}
 	for i, spec := range cases {
 		if _, err := s.Submit(spec, ""); err == nil {
@@ -515,6 +610,21 @@ func TestSubmitValidation(t *testing.T) {
 	if st := s.Stats(); st.RejectedInvalid != len(cases) || st.Submitted != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
+
+	// Bodies whose first value is a valid spec but which carry more.
+	for _, body := range trailingBodies {
+		if spec, err := DecodeSpec([]byte(body)); err == nil {
+			t.Errorf("body %s decoded with trailing content dropped: %+v", body, spec)
+		}
+	}
+}
+
+// trailingBodies are submission bodies that start with a valid spec and
+// continue; all must be rejected, never decoded as their first value.
+var trailingBodies = []string{
+	`{"kind":"suite","experiment":"E1"}{"kind":"sim"}`,
+	`{"kind":"sim"} trailing`,
+	`{"kind":"sim"}}`,
 }
 
 func TestDrainRejectsNewWork(t *testing.T) {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"potsim/internal/core"
@@ -46,15 +48,30 @@ type JobSpec struct {
 }
 
 // DecodeSpec parses a submission body strictly: unknown fields are a
-// client error surfaced by name, not a silent fallback to defaults.
+// client error surfaced by name, not a silent fallback to defaults, and
+// so is anything after the spec object.
 func DecodeSpec(body []byte) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeStrict(body, &spec); err != nil {
 		return spec, fmt.Errorf("service: decoding job spec: %w", err)
 	}
 	return spec, nil
+}
+
+// decodeStrict decodes exactly one JSON value with no unknown fields
+// and nothing but whitespace after it.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	// dec.More reports false on a stray closing '}' or ']'; only Token
+	// reaching EOF proves the input ended with the value.
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing content after the JSON value")
+	}
+	return nil
 }
 
 // SimConfig materialises a sim job's configuration: defaults overlaid
@@ -63,9 +80,7 @@ func DecodeSpec(body []byte) (JobSpec, error) {
 func (s *JobSpec) SimConfig() (core.Config, error) {
 	cfg := core.DefaultConfig()
 	if len(s.Config) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(s.Config))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&cfg); err != nil {
+		if err := decodeStrict(s.Config, &cfg); err != nil {
 			return cfg, fmt.Errorf("service: sim config: %w", err)
 		}
 	}
