@@ -111,6 +111,7 @@ type coreAging struct {
 	lastTempK    float64
 	lastVoltage  float64
 	lastActivity float64
+	stress       float64 //potlint:nosnap derived from effStressSec, recomputed by AdvanceRange and Restore
 }
 
 // NewTracker creates a tracker for n cores.
@@ -196,6 +197,7 @@ func (t *Tracker) AdvanceRange(dt float64, states []CoreState, from, to int) {
 		c.lastTempK = st.TempK
 		c.lastVoltage = st.Voltage
 		c.lastActivity = st.Activity
+		c.stress = t.stressOf(c.effStressSec)
 	}
 }
 
@@ -212,7 +214,11 @@ func (t *Tracker) accel(st CoreState) float64 {
 
 // DeltaVth returns core id's accumulated NBTI threshold drift in volts.
 func (t *Tracker) DeltaVth(id int) float64 {
-	years := t.cores[id].effStressSec / (365.25 * 24 * 3600)
+	return t.deltaVth(t.cores[id].effStressSec)
+}
+
+func (t *Tracker) deltaVth(effStressSec float64) float64 {
+	years := effStressSec / (365.25 * 24 * 3600)
 	if years <= 0 {
 		return 0
 	}
@@ -220,9 +226,13 @@ func (t *Tracker) DeltaVth(id int) float64 {
 }
 
 // Stress returns core id's wear indicator in [0,1]: DeltaVth relative to
-// the end-of-life drift.
-func (t *Tracker) Stress(id int) float64 {
-	s := t.DeltaVth(id) / t.params.FailVth
+// the end-of-life drift. It is evaluated once per core per integration
+// step, so reading it costs no math.Pow.
+func (t *Tracker) Stress(id int) float64 { return t.cores[id].stress }
+
+// stressOf is the wear indicator of an effective stress time.
+func (t *Tracker) stressOf(effStressSec float64) float64 {
+	s := t.deltaVth(effStressSec) / t.params.FailVth
 	return math.Min(math.Max(s, 0), 1)
 }
 

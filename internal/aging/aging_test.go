@@ -299,3 +299,86 @@ func TestRecoveryFracValidation(t *testing.T) {
 		t.Error("negative RecoveryFrac accepted")
 	}
 }
+
+// TestStressCacheMatchesFormula checks the per-core stress cached by
+// AdvanceRange and Restore against the DeltaVth formula it stands for,
+// bit for bit, across busy, recovering, gated, hot and cold cores, and
+// that a range-split integration caches the same values as the serial
+// one.
+func TestStressCacheMatchesFormula(t *testing.T) {
+	p := DefaultParams()
+	p.AccelFactor = 1e11
+	const n = 5
+	formula := func(tr *Tracker, id int) float64 {
+		return math.Min(math.Max(tr.DeltaVth(id)/p.FailVth, 0), 1)
+	}
+	check := func(name string, tr *Tracker) {
+		t.Helper()
+		for id := 0; id < n; id++ {
+			if got, want := tr.Stress(id), formula(tr, id); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: core %d Stress %v, formula %v", name, id, got, want)
+			}
+		}
+	}
+	serial, split := mustTracker(t, n, p), mustTracker(t, n, p)
+	check("fresh", serial)
+	for id := 0; id < n; id++ {
+		if serial.Stress(id) != 0 {
+			t.Fatalf("fresh core %d reports stress %v", id, serial.Stress(id))
+		}
+	}
+	hot := CoreState{Utilization: 1, Voltage: 0.95, TempK: 375, Activity: 1.2}
+	cold := CoreState{Utilization: 0.8, Voltage: 0.6, TempK: 300, Activity: 0.5}
+	idle := CoreState{Utilization: 0, Voltage: p.VRef, TempK: p.TRef}
+	gated := CoreState{TempK: 310}
+	half := refState(0.5)
+	schedule := [][n]CoreState{
+		{hot, cold, hot, gated, half},
+		{hot, cold, cold, gated, half},
+		{hot, idle, idle, hot, half},
+		{idle, cold, idle, gated, idle},
+		{hot, cold, idle, idle, half},
+	}
+	for k, row := range schedule {
+		now := sim.Time(k+1) * 4 * sim.Millisecond
+		states := row[:]
+		if err := serial.Advance(now, states); err != nil {
+			t.Fatal(err)
+		}
+		dt, err := split.BeginAdvance(now, states)
+		if err != nil {
+			t.Fatal(err)
+		}
+		split.AdvanceRange(dt, states, 3, n)
+		split.AdvanceRange(dt, states, 0, 3)
+		check("serial", serial)
+		for id := 0; id < n; id++ {
+			if serial.Stress(id) != split.Stress(id) {
+				t.Errorf("step %d core %d: split Stress %v, serial %v", k, id, split.Stress(id), serial.Stress(id))
+			}
+		}
+	}
+	saturated, partial := 0, 0
+	for id := 0; id < n; id++ {
+		switch s := serial.Stress(id); {
+		case s == 1:
+			saturated++
+		case s > 0:
+			partial++
+		}
+	}
+	if saturated == 0 || partial == 0 {
+		t.Fatalf("schedule exercised %d saturated and %d partial cores, want both", saturated, partial)
+	}
+
+	restored := mustTracker(t, n, p)
+	if err := restored.Restore(serial.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	check("restored", restored)
+	for id := 0; id < n; id++ {
+		if restored.Stress(id) != serial.Stress(id) {
+			t.Errorf("core %d: restored Stress %v, live %v", id, restored.Stress(id), serial.Stress(id))
+		}
+	}
+}

@@ -50,6 +50,7 @@ func (t *Tracker) Restore(st TrackerState) error {
 			lastTempK:    c.LastTempK,
 			lastVoltage:  c.LastVoltage,
 			lastActivity: c.LastActivity,
+			stress:       t.stressOf(c.EffStressSec),
 		}
 	}
 	t.lastAt = st.LastAt

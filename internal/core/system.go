@@ -740,11 +740,16 @@ func (s *System) abortTest(coreID int, now sim.Time) {
 // planTests asks the policy for launches and starts the executions.
 func (s *System) planTests(now sim.Time) {
 	snaps := s.snapScratch
+	busy := 0 // cores counted by netUtilization, kept current as tests launch
 	for id := range s.cores {
+		state := s.cores[id].state
+		if state == coreRunning || state == coreTesting {
+			busy++
+		}
 		snaps[id] = scheduler.CoreSnapshot{
 			ID:      id,
-			Idle:    s.cores[id].state == coreFree,
-			Testing: s.cores[id].state == coreTesting,
+			Idle:    state == coreFree,
+			Testing: state == coreTesting,
 			Stress:  s.ager.Stress(id),
 			Util:    s.ager.Utilization(id),
 			TempK:   s.therm.Temperature(id),
@@ -768,6 +773,7 @@ func (s *System) planTests(now sim.Time) {
 			cr.test = cr.suspended
 			cr.suspended = nil
 			cr.state = coreTesting
+			busy++
 			cr.level = cr.test.Level
 			cr.testStallUntil = now
 			continue
@@ -775,6 +781,7 @@ func (s *System) planTests(now sim.Time) {
 		pt := s.table.Point(d.Level)
 		cr.test = sbst.NewExec(d.Routine, d.Core, d.Level, pt, now)
 		cr.state = coreTesting
+		busy++
 		cr.level = d.Level
 		// The test program is fetched from the memory controller at the
 		// mesh corner; the routine stalls until it arrives.
@@ -786,10 +793,10 @@ func (s *System) planTests(now sim.Time) {
 				cr.testStallUntil = s.cfg.Horizon + sim.Second
 				s.msgWait[pkt.ID] = msgTarget{succ: -1, core: d.Core, test: cr.test}
 			} else {
-				cr.testStallUntil = now + s.txn.Latency(src, dst, 64, s.netUtilization())
+				cr.testStallUntil = now + s.txn.Latency(src, dst, 64, netUtilizationOf(busy, len(s.cores)))
 			}
 		} else {
-			cr.testStallUntil = now + s.txn.Latency(src, dst, 64, s.netUtilization())
+			cr.testStallUntil = now + s.txn.Latency(src, dst, 64, netUtilizationOf(busy, len(s.cores)))
 		}
 		s.testDelivery++
 		if s.events.Enabled() {
@@ -813,7 +820,13 @@ func (s *System) netUtilization() float64 {
 			busy++
 		}
 	}
-	return 0.5 * float64(busy) / float64(len(s.cores))
+	return netUtilizationOf(busy, len(s.cores))
+}
+
+// netUtilizationOf is the interconnect load estimate for busy of n cores
+// running a task or a test.
+func netUtilizationOf(busy, n int) float64 {
+	return 0.5 * float64(busy) / float64(n)
 }
 
 // cycleOf converts simulated time to NoC router cycles.

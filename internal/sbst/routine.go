@@ -175,8 +175,8 @@ type Exec struct {
 
 	phase     int
 	cycleInPh int64
-	misr      *MISR
-	gen       *ResponseGenerator
+	misr      MISR
+	gen       ResponseGenerator
 	// accumulated coverage of completed phases, per fault class, in
 	// miss-product form.
 	coveredSA    float64 //potlint:nosnap derived: covered = 1 - miss, recomputed by RestoreExec
@@ -189,12 +189,11 @@ type Exec struct {
 
 // NewExec starts a routine execution.
 func NewExec(r Routine, core, level int, pt tech.OperatingPoint, now sim.Time) *Exec {
-	e := &Exec{
+	return &Exec{
 		Routine: r, Core: core, Level: level, Point: pt, Started: now,
-		misr: NewMISR(), missSA: 1, missDelay: 1,
+		misr: MISR{state: misrSeed}, gen: NewResponseGenerator(r.ID, 0, level),
+		missSA: 1, missDelay: 1,
 	}
-	e.gen = NewResponseGenerator(r.ID, 0, level)
-	return e
 }
 
 // Done reports whether every phase has completed.
@@ -268,6 +267,8 @@ func (e *Exec) Advance(dt sim.Time) bool {
 }
 
 // finishPhase compacts the phase's responses and accrues coverage.
+//
+//potlint:allocfree
 func (e *Exec) finishPhase(ph *Phase) {
 	for w := 0; w < ph.Words; w++ {
 		word := e.gen.Next()

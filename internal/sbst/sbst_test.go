@@ -363,3 +363,38 @@ func TestSegmentedExecsMatchGoldenSignatures(t *testing.T) {
 		}
 	}
 }
+
+// TestExecAdvanceZeroAlloc pins SBST execution to zero allocations on a
+// warm Exec: compacting every phase of a full routine, and a ResumePhase
+// abort followed by completing the run, must reuse the execution's
+// inline register and generator.
+func TestExecAdvanceZeroAlloc(t *testing.T) {
+	pt := tech.Default().OperatingPoints(4)[2]
+	fresh := *NewExec(Library()[1], 0, 2, pt, 0) // functional-full
+	if len(fresh.Routine.Phases) != 5 {
+		t.Fatalf("functional-full has %d phases, want 5", len(fresh.Routine.Phases))
+	}
+	e := new(Exec)
+	for name, run := range map[string]func(){
+		"every phase": func() {
+			*e = fresh
+			for !e.Advance(20 * sim.Microsecond) {
+			}
+		},
+		"abort resume": func() {
+			*e = fresh
+			e.Advance(150 * sim.Microsecond) // mid-way through the second phase
+			e.Abort(ResumePhase)
+			for !e.Advance(20 * sim.Microsecond) {
+			}
+		},
+	} {
+		run()
+		if !e.Done() || !e.SignatureMatches() {
+			t.Fatalf("%s: run did not complete with a matching signature", name)
+		}
+		if n := testing.AllocsPerRun(100, run); n != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", name, n)
+		}
+	}
+}
